@@ -15,8 +15,8 @@
 //!
 //! * **weight computation** — `parallel_blocking_graph` (LeCoBI-sharded
 //!   meta-blocking edge weighting) vs `BlockingGraph::build`;
-//! * **neighbor-list construction** — `NeighborList::par_build` (sharded
-//!   tokenize/sort + tournament merge) vs `NeighborList::build`;
+//! * **neighbor-list construction** — `NeighborList::par_build`
+//!   (work-stealing tokenize, one stable rank sort) vs `NeighborList::build`;
 //! * **top-k scheduling** — `Pps::from_blocks_par` (parallel Algorithm-5
 //!   initialization) vs the sequential constructor.
 //!

@@ -1,12 +1,9 @@
 //! Extension experiment: shared-memory parallel blocking (§8 future work).
 //!
-//! Measures the speedup of parallel Token Blocking and parallel
-//! blocking-graph weighting over their sequential counterparts on the
-//! movies twin, and verifies result identity.
+//! Measures the speedup of parallel blocking-graph weighting over the
+//! sequential build on the movies twin, and verifies result identity.
 
-use sper_blocking::{
-    parallel_blocking_graph, parallel_token_blocking, BlockingGraph, TokenBlocking, WeightingScheme,
-};
+use sper_blocking::{parallel_blocking_graph, BlockingGraph, TokenBlocking, WeightingScheme};
 use sper_datagen::{DatasetKind, DatasetSpec};
 use sper_eval::report::{fmt_duration, Table};
 use std::time::Instant;
@@ -18,39 +15,6 @@ fn main() {
         .generate();
     println!("movies twin, |P| = {}\n", data.profiles.len());
 
-    // --- Token Blocking ---
-    let t0 = Instant::now();
-    let sequential = TokenBlocking::default().build(&data.profiles);
-    let seq_time = t0.elapsed();
-
-    let mut table = Table::new(["threads", "token blocking", "speedup", "identical"]);
-    table.add_row([
-        "1 (sequential)".to_string(),
-        fmt_duration(seq_time),
-        "1.00x".to_string(),
-        "—".to_string(),
-    ]);
-    for threads in [2, 4, 8] {
-        let t0 = Instant::now();
-        let parallel = parallel_token_blocking(&data.profiles, threads).expect("threads > 0");
-        let time = t0.elapsed();
-        // Ids are interner-local; identity is judged on resolved key
-        // strings and member lists.
-        let identical = parallel.len() == sequential.len()
-            && parallel
-                .iter()
-                .zip(sequential.iter())
-                .all(|(a, b)| a.key_str() == b.key_str() && a.profiles() == b.profiles());
-        table.add_row([
-            threads.to_string(),
-            fmt_duration(time),
-            format!("{:.2}x", seq_time.as_secs_f64() / time.as_secs_f64()),
-            identical.to_string(),
-        ]);
-    }
-    println!("{}", table.render());
-
-    // --- Blocking-graph weighting ---
     let mut blocks = TokenBlocking::default().build(&data.profiles);
     blocks.sort_by_cardinality();
     let t0 = Instant::now();

@@ -151,11 +151,7 @@ impl BlockingGraph {
     /// progressive methods approximate without materialization.
     pub fn sorted_edges(&self) -> Vec<(Pair, f64)> {
         let mut out = self.edges.clone();
-        out.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.0.cmp(&b.0))
-        });
+        out.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         out
     }
 }

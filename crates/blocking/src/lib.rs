@@ -22,8 +22,8 @@
 //!   neighborhood sweeps over a dense reusable scratch with a touched-list
 //!   reset, producing every meta-blocking edge weight without a
 //!   materialized edge list or per-pair merge intersections.
-//! * [`parallel`] — multi-threaded Token Blocking and edge weighting (the
-//!   §8 future-work direction), result-identical to the sequential paths.
+//! * [`parallel`] — the work-stealing fan-out behind every multi-threaded
+//!   path (the §8 future-work direction), result-identical to one worker.
 
 pub mod block;
 pub mod filtering;
@@ -44,12 +44,11 @@ pub mod weights;
 pub use block::{Block, BlockCollection, BlockCsrParts, BlockId, BlockRef};
 pub use filtering::BlockFilter;
 pub use graph::BlockingGraph;
-pub use metablocking::{par_prune, par_prune_blocks, prune, prune_blocks, PruningScheme};
+pub use metablocking::{par_prune_blocks, prune, prune_blocks, PruningScheme};
 pub use neighbor_list::{NeighborList, PositionIndex};
 pub use parallel::{
-    parallel_blocking_graph, parallel_token_blocking, take_last_fanout_stats, FanoutStats,
-    Parallelism, WorkerStats, ZeroThreads, MIN_PARALLEL_BATCH, STEAL_MIN_CHUNK,
-    STEAL_OVERSUBSCRIPTION,
+    parallel_blocking_graph, take_last_fanout_stats, FanoutStats, Parallelism, WorkerStats,
+    ZeroThreads, MIN_PARALLEL_BATCH, STEAL_MIN_CHUNK, STEAL_OVERSUBSCRIPTION,
 };
 pub use profile_index::{IncrementalProfileIndex, IntersectStats, ProfileIndex};
 pub use purging::BlockPurger;

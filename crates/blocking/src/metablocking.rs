@@ -71,9 +71,7 @@ impl PruningScheme {
 /// routes must tie-break identically for their equivalence to hold, so
 /// there is exactly one definition.
 fn weight_desc<T: Ord>(a: &(T, f64), b: &(T, f64)) -> std::cmp::Ordering {
-    b.1.partial_cmp(&a.1)
-        .unwrap_or(std::cmp::Ordering::Equal)
-        .then_with(|| a.0.cmp(&b.0))
+    b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0))
 }
 
 /// Applies a node-centric scheme's retention rule to one node's weighted
@@ -113,10 +111,9 @@ fn select_node_edges(
 }
 
 /// One node's retained edges under a node-centric scheme (WNP/CNP),
-/// inserted into `keep` — the definition both the sequential [`prune`]
-/// and the sharded [`par_prune`] run. `neighborhood` is a reusable
-/// per-caller buffer (cleared here) so the per-node loop allocates
-/// nothing.
+/// inserted into `keep` — the per-node unit of [`prune`]. `neighborhood`
+/// is a reusable per-caller buffer (cleared here) so the per-node loop
+/// allocates nothing.
 fn keep_for_node(
     graph: &BlockingGraph,
     scheme: PruningScheme,
@@ -288,61 +285,6 @@ pub fn par_prune_blocks(
     Ok(kept)
 }
 
-/// [`prune`] with the per-node sweeps of the node-centric schemes (WNP,
-/// CNP) fanned out over `threads` workers.
-///
-/// Each worker prunes a contiguous node range into a local keep-set; the
-/// union of keep-sets is order-independent, and the final weight sort makes
-/// the output deterministic — identical to the sequential [`prune`] for
-/// every scheme. The edge-centric schemes (WEP, CEP) are a single cheap
-/// pass and simply delegate to the sequential path (a chunked float sum
-/// would change rounding, and with it borderline mean-threshold decisions).
-///
-/// # Errors
-///
-/// Returns [`ZeroThreads`] when `threads == 0`.
-pub fn par_prune(
-    graph: &BlockingGraph,
-    scheme: PruningScheme,
-    threads: usize,
-) -> Result<Vec<(Pair, f64)>, ZeroThreads> {
-    let par = Parallelism::new(threads)?;
-    let nodes = graph.num_nodes();
-    if par.is_sequential()
-        || nodes == 0
-        || matches!(scheme, PruningScheme::Wep | PruningScheme::Cep { .. })
-    {
-        return Ok(prune(graph, scheme));
-    }
-
-    // Work-stealing chunks with a per-worker neighborhood scratch; the
-    // keep-set union is order-independent, so stealing cannot change the
-    // output.
-    let keep_sets = par.steal_chunks(
-        nodes,
-        crate::parallel::STEAL_MIN_CHUNK,
-        Vec::<(ProfileId, f64)>::new,
-        |neighborhood, range, _chunk| {
-            let mut keep = std::collections::HashSet::new();
-            for node in range {
-                keep_for_node(
-                    graph,
-                    scheme,
-                    ProfileId(node as u32),
-                    neighborhood,
-                    &mut keep,
-                );
-            }
-            keep
-        },
-    );
-
-    let keep: std::collections::HashSet<Pair> = keep_sets.into_iter().flatten().collect();
-    let mut kept: Vec<(Pair, f64)> = graph.edges().filter(|(p, _)| keep.contains(p)).collect();
-    kept.sort_by(weight_desc);
-    Ok(kept)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -463,28 +405,5 @@ mod tests {
             }
         }
         assert!(par_prune_blocks(&blocks, WeightingScheme::Arcs, PruningScheme::Wnp, 0).is_err());
-    }
-
-    #[test]
-    fn par_prune_matches_sequential_for_every_scheme() {
-        let g = fig3_graph();
-        for scheme in [
-            PruningScheme::Wep,
-            PruningScheme::Cep { k: 7 },
-            PruningScheme::Wnp,
-            PruningScheme::Cnp { k: 2 },
-        ] {
-            let sequential = prune(&g, scheme);
-            for threads in [1, 2, 4] {
-                let parallel = par_prune(&g, scheme, threads).expect("threads > 0");
-                assert_eq!(
-                    parallel,
-                    sequential,
-                    "{} at {threads} threads",
-                    scheme.name()
-                );
-            }
-        }
-        assert!(par_prune(&g, PruningScheme::Wnp, 0).is_err());
     }
 }

@@ -22,12 +22,12 @@
 //! bit-identical to the historical string-sorted build (the rank order *is*
 //! the string order, and the run shuffles consume the RNG identically).
 
-use crate::parallel::{Parallelism, ZeroThreads};
+use crate::parallel::{Parallelism, ZeroThreads, STEAL_MIN_CHUNK};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use sper_model::{ProfileCollection, ProfileId};
-use sper_text::{FxHashMap, TokenId, TokenInterner, Tokenizer};
+use sper_text::{TokenId, TokenInterner, Tokenizer};
 use std::sync::Arc;
 
 /// Shuffles every equal-key run of rank-sorted placements with a seeded
@@ -46,40 +46,6 @@ fn shuffle_equal_runs(placements: &mut [(TokenId, ProfileId)], seed: u64) {
         }
         start = end;
     }
-}
-
-/// Deterministic k-way tournament merge of rank-sorted placement runs.
-///
-/// The tournament key is `(rank, run index)`: distinct token strings have
-/// distinct ranks, and equal-rank ties resolve in run order — which is
-/// global profile order, because runs hold contiguous profile ranges. The
-/// output therefore equals a single stable sort of the concatenated runs.
-fn merge_ranked_runs(
-    runs: Vec<Vec<(TokenId, ProfileId)>>,
-    rank: &[u32],
-) -> Vec<(TokenId, ProfileId)> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-    let total = runs.iter().map(Vec::len).sum();
-    let mut out: Vec<(TokenId, ProfileId)> = Vec::with_capacity(total);
-    let mut cursors = vec![0usize; runs.len()];
-    // Min-heap over run fronts: the tournament of the k candidates.
-    let mut heap: BinaryHeap<Reverse<(u32, usize)>> = runs
-        .iter()
-        .enumerate()
-        .filter(|(_, r)| !r.is_empty())
-        .map(|(i, r)| Reverse((rank[r[0].0.index()], i)))
-        .collect();
-    while let Some(Reverse((_, i))) = heap.pop() {
-        let run = &runs[i];
-        let at = cursors[i];
-        out.push(run[at]);
-        cursors[i] = at + 1;
-        if at + 1 < run.len() {
-            heap.push(Reverse((rank[run[at + 1].0.index()], i)));
-        }
-    }
-    out
 }
 
 /// Inverted index: profile id → ascending Neighbor List positions.
@@ -131,13 +97,13 @@ impl NeighborList {
     /// Builds the Neighbor List for `profiles` with the default tokenizer.
     /// Equal-key runs are shuffled with `seed` (coincidental proximity).
     pub fn build(profiles: &ProfileCollection, seed: u64) -> Self {
-        Self::build_inner(profiles, seed, false)
+        Self::build_on(profiles, seed, false, Parallelism::SEQUENTIAL)
     }
 
     /// Like [`Self::build`] but also retains the blocking key of every
     /// position, for inspection and tests.
     pub fn build_with_keys(profiles: &ProfileCollection, seed: u64) -> Self {
-        Self::build_inner(profiles, seed, true)
+        Self::build_on(profiles, seed, true, Parallelism::SEQUENTIAL)
     }
 
     /// Builds the Neighbor List on `threads` worker threads, **bit-identical**
@@ -146,19 +112,7 @@ impl NeighborList {
     /// The requested count passes through the spawn break-even guard
     /// ([`Parallelism::break_even`]): collections smaller than
     /// [`crate::MIN_PARALLEL_BATCH`] profiles and hosts whose available
-    /// parallelism is exhausted fall back to the sequential path — the
-    /// sharded tokenize/sort + tournament merge only pays for itself when
-    /// there are both enough placements and enough real cores.
-    ///
-    /// The parallel build shards the profile range into contiguous chunks:
-    /// each worker tokenizes its chunk through the shared interner and
-    /// stable-sorts its placements by precomputed lexicographic rank; the
-    /// sorted runs are then fused by a deterministic k-way tournament merge
-    /// keyed on `(rank, chunk index)`. Because distinct strings have
-    /// distinct ranks and the tie-break follows chunk order (= global
-    /// profile order), the merged placement sequence equals the sequential
-    /// stable sort exactly — so the equal-key run shuffle consumes the RNG
-    /// identically and the final list matches position for position.
+    /// parallelism is exhausted tokenize on the calling thread.
     ///
     /// # Errors
     ///
@@ -169,50 +123,52 @@ impl NeighborList {
         threads: usize,
     ) -> Result<Self, ZeroThreads> {
         let par = Parallelism::new(threads)?.break_even(profiles.len());
-        Ok(if par.is_sequential() {
-            Self::build_inner(profiles, seed, false)
-        } else {
-            Self::par_build_inner(profiles, seed, false, par)
-        })
+        Ok(Self::build_on(profiles, seed, false, par))
     }
 
-    /// Like [`Self::par_build`] but also retains the blocking key of every
-    /// position, for inspection and tests.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ZeroThreads`] when `threads == 0`.
-    pub fn par_build_with_keys(
+    /// The one build body. Workers tokenize profile chunks through the
+    /// shared interner ([`Parallelism::steal_chunks`]); the placement runs
+    /// are concatenated in chunk order, which is global profile order, so
+    /// the stable rank sort sees the same sequence at every worker count.
+    /// Ranks are a pure function of the token *strings*, not of the
+    /// concurrent id-assignment order, so the sorted list — and the RNG
+    /// consumption of the run shuffle — is reproducible run to run. With
+    /// one worker the chunks run inline and in order, so the interner also
+    /// assigns ids in profile order.
+    fn build_on(
         profiles: &ProfileCollection,
         seed: u64,
-        threads: usize,
-    ) -> Result<Self, ZeroThreads> {
-        let par = Parallelism::new(threads)?.break_even(profiles.len());
-        Ok(if par.is_sequential() {
-            Self::build_inner(profiles, seed, true)
-        } else {
-            Self::par_build_inner(profiles, seed, true, par)
-        })
-    }
-
-    fn build_inner(profiles: &ProfileCollection, seed: u64, keep_keys: bool) -> Self {
-        let mut span = sper_obs::span!("blocking.nl_build", profiles = profiles.len());
+        keep_keys: bool,
+        par: Parallelism,
+    ) -> Self {
+        let mut span = sper_obs::span!(
+            "blocking.nl_build",
+            profiles = profiles.len(),
+            threads = par.get(),
+        );
         let interner = TokenInterner::shared();
-        let tokenizer = Tokenizer::default();
+        let all: &[sper_model::Profile] = profiles.profiles();
         // (token, profile) placements: one per *distinct* token per profile.
-        let mut placements: Vec<(TokenId, ProfileId)> = Vec::new();
-        let mut ids: Vec<TokenId> = Vec::new();
-        for p in profiles.iter() {
-            ids.clear();
-            for attr in &p.attributes {
-                tokenizer.tokenize_ids_into(&attr.value, &interner, &mut ids);
-            }
-            ids.sort_unstable();
-            ids.dedup();
-            for &t in &ids {
-                placements.push((t, p.id));
-            }
-        }
+        let mut placements: Vec<(TokenId, ProfileId)> = par
+            .steal_chunks(
+                all.len(),
+                STEAL_MIN_CHUNK,
+                || (Tokenizer::default(), Vec::<TokenId>::new()),
+                |(tokenizer, ids), range, _chunk| {
+                    let mut run: Vec<(TokenId, ProfileId)> = Vec::new();
+                    for p in &all[range] {
+                        ids.clear();
+                        for attr in &p.attributes {
+                            tokenizer.tokenize_ids_into(&attr.value, &interner, ids);
+                        }
+                        ids.sort_unstable();
+                        ids.dedup();
+                        run.extend(ids.iter().map(|&t| (t, p.id)));
+                    }
+                    run
+                },
+            )
+            .concat();
         // Alphabetical order via the precomputed lexicographic rank: a
         // stable u32-keyed sort, so equal-key runs keep their profile-id
         // insertion order — exactly what the string sort produced.
@@ -222,95 +178,6 @@ impl NeighborList {
         shuffle_equal_runs(&mut placements, seed);
         span.record("placements", placements.len());
         Self::from_parts(placements, interner, profiles.len(), keep_keys)
-    }
-
-    fn par_build_inner(
-        profiles: &ProfileCollection,
-        seed: u64,
-        keep_keys: bool,
-        par: Parallelism,
-    ) -> Self {
-        let mut span = sper_obs::span!(
-            "blocking.nl_par_build",
-            profiles = profiles.len(),
-            threads = par.get(),
-        );
-        let interner = TokenInterner::shared();
-        let n = profiles.len();
-        if n == 0 {
-            return Self::from_parts(Vec::new(), interner, 0, keep_keys);
-        }
-        let threads = par.capped(n).get();
-        let chunk = n.div_ceil(threads);
-        let all: &[sper_model::Profile] = profiles.profiles();
-
-        // Map phase: each worker tokenizes a contiguous profile range into
-        // its own placement run (run-local order = profile order).
-        let mut runs: Vec<Vec<(TokenId, ProfileId)>> = Vec::new();
-        crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = all
-                .chunks(chunk)
-                .map(|profiles_chunk| {
-                    let interner = Arc::clone(&interner);
-                    scope.spawn(move |_| {
-                        let tokenizer = Tokenizer::default();
-                        let mut placements: Vec<(TokenId, ProfileId)> = Vec::new();
-                        let mut ids: Vec<TokenId> = Vec::new();
-                        // Worker-local token → id cache (see
-                        // `parallel_token_blocking`): one interner-lock
-                        // touch per distinct token per worker.
-                        let mut cache: FxHashMap<Box<str>, TokenId> = FxHashMap::default();
-                        for p in profiles_chunk {
-                            ids.clear();
-                            for attr in &p.attributes {
-                                tokenizer.for_each_token(&attr.value, |tok| {
-                                    let id = match cache.get(tok) {
-                                        Some(&id) => id,
-                                        None => {
-                                            let id = interner.intern(tok);
-                                            cache.insert(Box::from(tok), id);
-                                            id
-                                        }
-                                    };
-                                    ids.push(id);
-                                });
-                            }
-                            ids.sort_unstable();
-                            ids.dedup();
-                            for &t in &ids {
-                                placements.push((t, p.id));
-                            }
-                        }
-                        placements
-                    })
-                })
-                .collect();
-            runs = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        })
-        .expect("neighbor-list map phase panicked");
-
-        // Sort phase: the rank table is computed once over the complete
-        // vocabulary, then every run stable-sorts in parallel. Ranks are a
-        // pure function of the token *strings* (not of the concurrent id
-        // assignment order), so this order is reproducible run to run.
-        let rank = interner.rank();
-        crossbeam::thread::scope(|scope| {
-            for run in runs.iter_mut() {
-                let rank = &rank;
-                scope.spawn(move |_| {
-                    run.sort_by_key(|&(t, _)| rank[t.index()]);
-                });
-            }
-        })
-        .expect("neighbor-list sort phase panicked");
-
-        // Merge + shuffle: deterministic tournament merge restores the
-        // global stable order, then the run shuffle consumes the RNG
-        // exactly as the sequential build does.
-        let mut placements = merge_ranked_runs(runs, &rank);
-        shuffle_equal_runs(&mut placements, seed);
-        span.record("placements", placements.len());
-        Self::from_parts(placements, interner, n, keep_keys)
     }
 
     /// Builds a Neighbor List from placements that are already in final
@@ -554,23 +421,22 @@ mod tests {
 
     #[test]
     fn par_build_is_bit_identical_to_sequential() {
-        // Larger than fig3 so chunks are non-trivial and equal-key runs
-        // span chunk boundaries.
+        // Several STEAL_MIN_CHUNK chunks, so equal-key runs span chunk
+        // boundaries.
         let mut b = sper_model::ProfileCollectionBuilder::dirty();
-        for i in 0..97u32 {
-            let base = i % 31;
+        for i in 0..1200u32 {
+            let base = i % 310;
             b.add_profile([("t", format!("tok{} shared{} common", base, base % 5))]);
         }
         let profiles = b.build();
         for seed in [0u64, 7, 42] {
             let sequential = NeighborList::build_with_keys(&profiles, seed);
             for threads in [2usize, 3, 5, 8] {
-                // Drive the sharded build directly: the public entry's
-                // break-even guard would route a 97-profile collection (or
-                // any run on a 1-core host) to the sequential path and
-                // leave the tournament merge untested.
+                // Drive the fan-out directly: the public entry's
+                // break-even guard would route this collection (or any
+                // run on a 1-core host) to one worker.
                 let par = Parallelism::new(threads).unwrap();
-                let parallel = NeighborList::par_build_inner(&profiles, seed, true, par);
+                let parallel = NeighborList::build_on(&profiles, seed, true, par);
                 assert_eq!(
                     parallel.as_slice(),
                     sequential.as_slice(),
@@ -580,8 +446,8 @@ mod tests {
                     assert_eq!(parallel.key_at(i), sequential.key_at(i));
                 }
                 // The guarded public entry agrees (whatever path it takes).
-                let guarded = NeighborList::par_build_with_keys(&profiles, seed, threads)
-                    .expect("threads > 0");
+                let guarded =
+                    NeighborList::par_build(&profiles, seed, threads).expect("threads > 0");
                 assert_eq!(guarded.as_slice(), sequential.as_slice());
             }
         }

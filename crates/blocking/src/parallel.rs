@@ -1,43 +1,38 @@
 //! Shared-memory parallelization of the blocking substrates — the paper's
 //! future-work direction (§8: "massive parallelization of our approach
 //! based on existing methods for parallelizing Sorted Neighborhood \[31,32\]
-//! and Meta-blocking \[33\]"), realized as deterministic sharded execution
-//! on crossbeam scoped threads.
+//! and Meta-blocking \[33\]"), realized as deterministic work-stealing
+//! fan-outs on crossbeam scoped threads.
 //!
-//! Every entry point is **bit-identical** to its sequential counterpart
-//! (property-tested here and in `tests/parallel_equivalence.rs`):
-//! parallelism changes wall-clock time, never results. Three ingredients
-//! make that possible:
+//! [`Parallelism::steal_chunks`] is the one fan-out of the workspace: every
+//! parallel path in `sper-blocking` and `sper-core` (edge weighting, node
+//! pruning, the Neighbor List build, the LS-PSN/GS-PSN/PBS/PPS weighting
+//! passes) splits a range into chunks, runs a pure per-chunk function, and
+//! gets the results back in chunk order. Every entry point is therefore
+//! **bit-identical** to its one-worker run (property-tested here and in
+//! `tests/parallel_equivalence.rs`): parallelism changes wall-clock time,
+//! never results. Two ingredients make that possible:
 //!
-//! 1. **Deterministic shard layout.** Work is split either by
-//!    `TokenId % shards` (token emissions) or by contiguous ranges of the
-//!    profile/placement arrays — both are pure functions of the input,
-//!    with none of the platform/release instability of `DefaultHasher`
-//!    (whose SipHash keys are explicitly not guaranteed stable).
-//! 2. **Independent per-shard dedup.** Edge weighting discovers each edge
+//! 1. **Deterministic chunk layout.** Chunk boundaries are a pure function
+//!    of `(len, workers, min_chunk)`, and outputs are concatenated in chunk
+//!    order, whichever worker ran which chunk.
+//! 2. **Independent per-chunk dedup.** Edge weighting discovers each edge
 //!    exactly once, from its smaller endpoint, inside that endpoint's
-//!    profile-range shard (the sparse-accumulator sweep of
-//!    [`crate::spacc`]) — no cross-shard `seen` set, no merge-order
+//!    chunk (the sparse-accumulator sweep of [`crate::spacc`]), and a
+//!    counting scatter by the recorded least-common-block tag restores the
+//!    sequential edge order — no cross-chunk `seen` set, no merge-order
 //!    sensitivity.
-//! 3. **Order-restoring merges.** Shard outputs are concatenated in shard
-//!    order (ranges), re-sorted by key string (token blocking), or
-//!    counting-sorted by the recorded least-common-block tag (edge
-//!    weighting), so the merged result reproduces the sequential
-//!    iteration order exactly.
 //!
 //! Thread counts are validated at the API boundary: every parallel entry
 //! point takes a raw `usize` and returns [`ZeroThreads`] instead of
 //! panicking when it is zero. Use [`Parallelism`] to carry a validated
 //! count through configuration layers.
 
-use crate::block::{Block, BlockCollection};
+use crate::block::BlockCollection;
 use crate::graph::BlockingGraph;
 use crate::profile_index::ProfileIndex;
 use crate::weights::WeightingScheme;
-use sper_model::{ProfileCollection, ProfileId, SourceId};
-use sper_text::{FxHashMap, TokenId, TokenInterner, Tokenizer};
 use std::num::NonZeroUsize;
-use std::sync::Arc;
 
 /// Below this work-item count the parallel engines run inline on the
 /// calling thread: an OS-thread spawn/join costs tens of microseconds,
@@ -128,52 +123,14 @@ impl Parallelism {
         }
     }
 
-    /// Splits `0..len` into one contiguous range per worker and runs `f`
-    /// on each concurrently (scoped threads — `f` may borrow), returning
-    /// the results **in range order**. With one effective worker, `f` runs
-    /// inline on the calling thread — no spawn.
-    ///
-    /// This is the shared fan-out shape of the whole parallel engine:
-    /// deterministic ranges in, order-preserving concatenation out. Sites
-    /// that need per-worker `&mut` scratch keep their own scopes.
-    pub fn map_ranges<T, F>(self, len: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(std::ops::Range<usize>) -> T + Sync,
-    {
-        let workers = self.capped(len.max(1)).get();
-        if workers == 1 {
-            return vec![f(0..len)];
-        }
-        let chunk = len.div_ceil(workers);
-        let f = &f;
-        let mut results: Vec<T> = Vec::with_capacity(workers);
-        crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|k| {
-                    // Both bounds clamp to `len`: when `chunk` overshoots
-                    // (workers does not divide len), trailing workers get
-                    // an empty `len..len` range, never a backwards one —
-                    // callers slice with these ranges.
-                    let start = (k * chunk).min(len);
-                    let end = ((k + 1) * chunk).min(len);
-                    scope.spawn(move |_| f(start..end))
-                })
-                .collect();
-            results.extend(handles.into_iter().map(|h| h.join().unwrap()));
-        })
-        .expect("parallel range map panicked");
-        results
-    }
-
     /// Splits `0..len` into fine-grained chunks (about
     /// [`STEAL_OVERSUBSCRIPTION`] per worker, never smaller than
     /// `min_chunk` items) and lets the workers **steal** them from a
     /// shared lock-free queue: each worker claims the next unclaimed chunk
     /// with one atomic `fetch_add`, runs `f(&mut scratch, range, chunk)`,
     /// and moves on — a straggler chunk delays only its own worker while
-    /// the rest drain the queue, unlike the fixed per-worker ranges of
-    /// [`Self::map_ranges`], where the slowest range sets the join time.
+    /// the rest drain the queue, unlike fixed per-worker ranges, where the
+    /// slowest range sets the join time.
     ///
     /// Determinism: stealing reorders *execution*, never *output*. Chunk
     /// boundaries are a pure function of `(len, workers, min_chunk)`, each
@@ -406,116 +363,6 @@ impl TryFrom<usize> for Parallelism {
     }
 }
 
-/// Parallel Token Blocking: the *map* phase tokenizes disjoint profile
-/// ranges through the shared interner and partitions `(token, profile)`
-/// emissions by `TokenId % shards`; the *reduce* phase builds each shard's
-/// blocks independently. Produces the exact same [`BlockCollection`] as
-/// [`TokenBlocking`](crate::token_blocking::TokenBlocking) (blocks sorted
-/// by key string).
-///
-/// # Errors
-///
-/// Returns [`ZeroThreads`] when `threads == 0`.
-pub fn parallel_token_blocking(
-    profiles: &ProfileCollection,
-    threads: usize,
-) -> Result<BlockCollection, ZeroThreads> {
-    let par = Parallelism::new(threads)?;
-    let n = profiles.len();
-    let interner = TokenInterner::shared();
-    if n == 0 {
-        return Ok(BlockCollection::new(
-            profiles.kind(),
-            0,
-            interner,
-            Vec::new(),
-        ));
-    }
-    let threads = par.capped(n).get();
-    let chunk = n.div_ceil(threads);
-    let all: &[sper_model::Profile] = profiles.profiles();
-
-    // Map phase: per-worker, per-shard emission buffers. Workers intern
-    // concurrently; id *assignment order* is nondeterministic across runs,
-    // but nothing downstream observes it — output is ordered by key string.
-    let mut emissions: Vec<Vec<Vec<(TokenId, ProfileId, SourceId)>>> = Vec::new();
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = all
-            .chunks(chunk)
-            .map(|profiles_chunk| {
-                let interner = Arc::clone(&interner);
-                scope.spawn(move |_| {
-                    let tokenizer = Tokenizer::default();
-                    let mut shards: Vec<Vec<(TokenId, ProfileId, SourceId)>> =
-                        vec![Vec::new(); threads];
-                    let mut ids: Vec<TokenId> = Vec::new();
-                    // Worker-local token → id cache: the shared interner's
-                    // lock is touched once per distinct token per worker,
-                    // not once per occurrence — Zipfian token traffic makes
-                    // the contention otherwise swamp the map phase.
-                    let mut cache: FxHashMap<Box<str>, TokenId> = FxHashMap::default();
-                    for p in profiles_chunk {
-                        ids.clear();
-                        for attr in &p.attributes {
-                            tokenizer.for_each_token(&attr.value, |tok| {
-                                let id = match cache.get(tok) {
-                                    Some(&id) => id,
-                                    None => {
-                                        let id = interner.intern(tok);
-                                        cache.insert(Box::from(tok), id);
-                                        id
-                                    }
-                                };
-                                ids.push(id);
-                            });
-                        }
-                        ids.sort_unstable();
-                        ids.dedup();
-                        for &tok in &ids {
-                            shards[tok.index() % threads].push((tok, p.id, p.source));
-                        }
-                    }
-                    shards
-                })
-            })
-            .collect();
-        emissions = handles.into_iter().map(|h| h.join().unwrap()).collect();
-    })
-    .expect("map phase panicked");
-
-    // Reduce phase: shard s merges the s-th buffer of every worker.
-    let mut shard_blocks: Vec<Vec<Block>> = Vec::new();
-    crossbeam::thread::scope(|scope| {
-        let emissions = &emissions;
-        let kind = profiles.kind();
-        let handles: Vec<_> = (0..threads)
-            .map(|s| {
-                scope.spawn(move |_| {
-                    let mut index: FxHashMap<TokenId, Vec<(ProfileId, SourceId)>> =
-                        FxHashMap::default();
-                    for worker in emissions {
-                        for &(tok, pid, src) in &worker[s] {
-                            index.entry(tok).or_default().push((pid, src));
-                        }
-                    }
-                    index
-                        .into_iter()
-                        .map(|(key, members)| Block::new(key, members))
-                        .filter(|b| b.cardinality(kind) > 0)
-                        .collect::<Vec<Block>>()
-                })
-            })
-            .collect();
-        shard_blocks = handles.into_iter().map(|h| h.join().unwrap()).collect();
-    })
-    .expect("reduce phase panicked");
-
-    let blocks: Vec<Block> = shard_blocks.into_iter().flatten().collect();
-    let mut coll = BlockCollection::new(profiles.kind(), n, interner, blocks);
-    coll.sort_by_key_str();
-    Ok(coll)
-}
-
 /// Parallel Meta-blocking edge weighting: the sparse-accumulator kernel
 /// ([`crate::spacc`]) sharded over contiguous **profile** ranges.
 ///
@@ -560,7 +407,7 @@ mod tests {
     use super::*;
     use crate::fixtures::fig3_profiles;
     use crate::token_blocking::TokenBlocking;
-    use sper_model::{Pair, ProfileCollectionBuilder};
+    use sper_model::{Pair, ProfileCollection, ProfileCollectionBuilder};
 
     fn medium_collection() -> ProfileCollection {
         // Deterministic mid-sized dirty collection with duplicates.
@@ -575,13 +422,6 @@ mod tests {
         b.build()
     }
 
-    fn keys_and_sizes(blocks: &BlockCollection) -> Vec<(String, Vec<ProfileId>)> {
-        blocks
-            .iter()
-            .map(|b| (b.key_str().to_string(), b.profiles().to_vec()))
-            .collect()
-    }
-
     #[test]
     fn parallelism_boundary() {
         assert!(Parallelism::new(0).is_err());
@@ -594,54 +434,6 @@ mod tests {
             ZeroThreads.to_string(),
             "parallel execution needs at least one worker thread"
         );
-    }
-
-    #[test]
-    fn map_ranges_covers_exactly_once_for_awkward_worker_counts() {
-        // Regression: with chunk = div_ceil(len, workers), trailing workers
-        // can overshoot len (e.g. len 2069, 47 workers → chunk 45, worker
-        // 46 would start at 2070). Ranges must stay well-formed (never
-        // backwards — callers slice with them) and partition 0..len.
-        for (len, workers) in [(2069usize, 47usize), (5, 4), (1, 8), (0, 3), (2049, 64)] {
-            let ranges = Parallelism::new(workers)
-                .unwrap()
-                .map_ranges(len, |range| range);
-            let mut covered = 0;
-            let mut next = 0;
-            for r in &ranges {
-                assert!(r.start <= r.end, "backwards range {r:?} at len {len}");
-                assert!(r.end <= len);
-                if !r.is_empty() {
-                    assert_eq!(r.start, next, "gap/overlap at len {len}");
-                    next = r.end;
-                }
-                covered += r.len();
-            }
-            assert_eq!(covered, len, "len {len}, workers {workers}");
-        }
-    }
-
-    #[test]
-    fn parallel_blocking_equals_sequential() {
-        let coll = medium_collection();
-        let sequential = TokenBlocking::default().build(&coll);
-        for threads in [1, 2, 4, 7] {
-            let parallel = parallel_token_blocking(&coll, threads).unwrap();
-            assert_eq!(
-                keys_and_sizes(&parallel),
-                keys_and_sizes(&sequential),
-                "threads = {threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_blocking_on_fig3() {
-        let coll = fig3_profiles();
-        let parallel = parallel_token_blocking(&coll, 3).unwrap();
-        let mut keys: Vec<String> = parallel.iter().map(|b| b.key_str().to_string()).collect();
-        keys.sort_unstable();
-        assert_eq!(keys, vec!["carl", "ml", "ny", "tailor", "teacher", "white"]);
     }
 
     #[test]
@@ -681,7 +473,7 @@ mod tests {
     #[test]
     fn empty_collection() {
         let coll = ProfileCollectionBuilder::dirty().build();
-        let blocks = parallel_token_blocking(&coll, 4).unwrap();
+        let blocks = TokenBlocking::default().build(&coll);
         assert!(blocks.is_empty());
         let graph = parallel_blocking_graph(&blocks, WeightingScheme::Arcs, 4).unwrap();
         assert_eq!(graph.num_edges(), 0);
@@ -689,8 +481,6 @@ mod tests {
 
     #[test]
     fn zero_threads_is_a_typed_error() {
-        let err = parallel_token_blocking(&fig3_profiles(), 0).unwrap_err();
-        assert_eq!(err, ZeroThreads);
         let blocks = TokenBlocking::default().build(&fig3_profiles());
         assert_eq!(
             parallel_blocking_graph(&blocks, WeightingScheme::Arcs, 0).unwrap_err(),

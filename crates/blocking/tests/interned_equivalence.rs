@@ -6,8 +6,7 @@
 //!
 //! 1. **Blocks** — `TokenBlocking` (interned ids, flat bucket index, CSR
 //!    collection) produces the same keys, members, source partitions and
-//!    key-sorted order as the seed's `HashMap<String, Vec<_>>` build. The
-//!    parallel builder must agree too (`TokenId % shards` sharding).
+//!    key-sorted order as the seed's `HashMap<String, Vec<_>>` build.
 //! 2. **Weights** — `ProfileIndex` (CSR merge kernels) reproduces the
 //!    naive string-keyed weight of every scheme on every pair.
 //! 3. **Neighbor List** — the rank-sorted interned build is *bit
@@ -22,9 +21,7 @@ use proptest::prelude::*;
 use sper_blocking::legacy::{
     string_block_lists, string_neighbor_list, string_token_blocking, string_weight,
 };
-use sper_blocking::{
-    parallel_token_blocking, BlockCollection, ProfileIndex, TokenBlocking, WeightingScheme,
-};
+use sper_blocking::{BlockCollection, ProfileIndex, TokenBlocking, WeightingScheme};
 use sper_model::{ProfileCollection, ProfileCollectionBuilder, ProfileId};
 
 /// Random collections over a tiny alphabet — small vocabularies maximize
@@ -72,14 +69,12 @@ fn assert_blocks_equal(
 
 proptest! {
     /// Layer 1: interned Token Blocking ≡ string-keyed Token Blocking,
-    /// sequential and parallel, dirty and clean-clean.
+    /// dirty and clean-clean.
     #[test]
-    fn token_blocking_matches_seed(coll in any_collection(), threads in 1usize..5) {
+    fn token_blocking_matches_seed(coll in any_collection()) {
         let legacy = string_token_blocking(&coll);
         let interned = TokenBlocking::default().build(&coll);
         assert_blocks_equal(&interned, &legacy)?;
-        let parallel = parallel_token_blocking(&coll, threads).expect("threads > 0");
-        assert_blocks_equal(&parallel, &legacy)?;
     }
 
     /// Layer 2: CSR Profile-Index weights ≡ naive string-keyed weights for

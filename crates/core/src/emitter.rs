@@ -2,36 +2,30 @@
 //! matching likelihood, consumed from the front during the emission phase
 //! and refilled by the owning method when it runs dry.
 //!
-//! Two engines share one observable behavior:
-//!
-//! * [`ComparisonList`] — the sequential engine: one sorted run drained by
-//!   cursor.
-//! * [`ShardedComparisonList`] — the parallel engine: the batch is split
-//!   into contiguous shards, each shard sorted on its own worker thread,
-//!   and emission pops the globally best front through a deterministic
-//!   **tournament merge** (a max-heap over shard fronts keyed by the shared
-//!   [`emission_order`], ties broken by shard index).
-//!
-//! Because [`emission_order`] is a strict total order whenever weights are
-//! non-NaN and pairs are distinct within a batch (true for every method in
-//! this crate), the tournament merge emits the exact sequence a full sort
-//! would — sharding changes wall-clock time, never emission order.
-//! [`EmissionList`] packages the choice so methods hold one field.
+//! [`ComparisonList`] is the one emission engine of every advanced method
+//! (LS-PSN, GS-PSN, PBS, PPS): one sorted run drained by cursor, at any
+//! thread count. Methods fan their weighting passes out over
+//! [`sper_blocking::Parallelism::steal_chunks`] and hand the chunk-order
+//! concatenation to [`ComparisonList::refill`], which sorts it on the
+//! calling thread by [`emission_order`] — a total order, so the emitted
+//! sequence is a pure function of the batch's contents.
 
 use crate::Comparison;
-use sper_blocking::Parallelism;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 /// The canonical emission order of every best-first engine: non-increasing
 /// weight, ties broken by ascending pair id — fully deterministic.
+///
+/// Weights compare by [`f64::total_cmp`], so the order is total even when
+/// a weight is NaN: a positive NaN emits before every number (including
+/// `+∞`), a negative NaN after every number. Method weights are
+/// non-negative, where `total_cmp` agrees with the numeric order.
 ///
 /// Returns [`Ordering::Less`] when `a` must be emitted before `b`.
 #[inline]
 pub fn emission_order(a: &Comparison, b: &Comparison) -> Ordering {
     b.weight
-        .partial_cmp(&a.weight)
-        .unwrap_or(Ordering::Equal)
+        .total_cmp(&a.weight)
         .then_with(|| a.pair.cmp(&b.pair))
 }
 
@@ -72,6 +66,9 @@ impl ComparisonList {
     /// is sorted in non-increasing weight (ties broken by pair id so that
     /// emission order is fully deterministic).
     pub fn refill(&mut self, batch: Vec<Comparison>) {
+        // Per-batch (never per-pop) accounting keeps the drain loop clean.
+        sper_obs::count!("emitter.refills");
+        sper_obs::count!("emitter.refill_comparisons", batch.len() as u64);
         self.items = batch;
         self.cursor = 0;
         self.sort_descending();
@@ -95,217 +92,6 @@ impl ComparisonList {
         let c = self.items[self.cursor];
         self.cursor += 1;
         Some(c)
-    }
-}
-
-/// One shard's front in the tournament: the candidate comparison plus the
-/// shard it came from (the deterministic tie-break).
-#[derive(Debug, Clone, Copy)]
-struct ShardFront {
-    c: Comparison,
-    shard: usize,
-}
-
-impl PartialEq for ShardFront {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for ShardFront {}
-
-impl PartialOrd for ShardFront {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for ShardFront {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap: "greater" must mean "emits earlier".
-        // `emission_order` returns Less for the earlier emission, so
-        // reverse it; equal fronts resolve by the lower shard index (the
-        // earlier batch chunk), keeping the merge a strict total order.
-        emission_order(&self.c, &other.c)
-            .reverse()
-            .then_with(|| other.shard.cmp(&self.shard))
-    }
-}
-
-/// The spawn break-even guard, shared with the blocking substrates (see
-/// [`sper_blocking::MIN_PARALLEL_BATCH`]): below this work-item count the
-/// parallel engines run inline on the calling thread.
-pub(crate) const MIN_PARALLEL_BATCH: usize = sper_blocking::MIN_PARALLEL_BATCH;
-
-/// The sharded best-first scheduler: per-shard sorted runs drained through
-/// a deterministic tournament merge.
-///
-/// [`refill`](Self::refill) keeps the batch in one allocation, splits it
-/// into `threads` contiguous shards via `chunks_mut` (no copy) and sorts
-/// each on its own scoped worker thread; emission then costs
-/// `O(log threads)` per comparison (one heap pop + push) instead of the
-/// sequential engine's `O(1)` cursor — the price of sorting
-/// `threads`-wide. Batches under `MIN_PARALLEL_BATCH` sort inline (one
-/// shard, no spawn). The emitted sequence is **identical** to
-/// [`ComparisonList`] on the same batch.
-#[derive(Debug, Clone, Default)]
-pub struct ShardedComparisonList {
-    items: Vec<Comparison>,
-    /// Per-shard `(cursor, end)` index pairs into `items`.
-    shards: Vec<(usize, usize)>,
-    heap: BinaryHeap<ShardFront>,
-    remaining: usize,
-}
-
-impl ShardedComparisonList {
-    /// Creates an empty sharded list.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// True when no comparison is left to emit.
-    pub fn is_empty(&self) -> bool {
-        self.remaining == 0
-    }
-
-    /// Number of comparisons left to emit.
-    pub fn remaining(&self) -> usize {
-        self.remaining
-    }
-
-    /// Replaces the contents with `batch`: shards it in place, sorts every
-    /// shard on its own worker thread, and seeds the tournament with each
-    /// shard's front.
-    pub fn refill(&mut self, batch: Vec<Comparison>, par: Parallelism) {
-        let workers = if batch.len() < MIN_PARALLEL_BATCH {
-            1
-        } else {
-            par.capped(batch.len()).get()
-        };
-        self.refill_with_workers(batch, workers);
-    }
-
-    /// [`Self::refill`] with the worker count already decided — the
-    /// spawn-threshold-free core, also driven directly by the unit tests
-    /// so the tournament merge is exercised on small batches.
-    fn refill_with_workers(&mut self, mut batch: Vec<Comparison>, workers: usize) {
-        self.remaining = batch.len();
-        self.heap.clear();
-        self.shards.clear();
-        if batch.is_empty() {
-            self.items.clear();
-            return;
-        }
-        let chunk = batch.len().div_ceil(workers);
-        if workers == 1 {
-            batch.sort_by(emission_order);
-        } else {
-            crossbeam::thread::scope(|scope| {
-                for shard in batch.chunks_mut(chunk) {
-                    scope.spawn(move |_| shard.sort_by(emission_order));
-                }
-            })
-            .expect("shard sort panicked");
-        }
-        let mut start = 0;
-        while start < batch.len() {
-            let end = (start + chunk).min(batch.len());
-            self.heap.push(ShardFront {
-                c: batch[start],
-                shard: self.shards.len(),
-            });
-            self.shards.push((start, end));
-            start = end;
-        }
-        self.items = batch;
-    }
-
-    /// Removes and returns the best remaining comparison: pops the
-    /// tournament winner and advances that shard's cursor.
-    pub fn remove_first(&mut self) -> Option<Comparison> {
-        let front = self.heap.pop()?;
-        let s = front.shard;
-        self.shards[s].0 += 1;
-        let (cursor, end) = self.shards[s];
-        if cursor < end {
-            self.heap.push(ShardFront {
-                c: self.items[cursor],
-                shard: s,
-            });
-        }
-        self.remaining -= 1;
-        if self.remaining == 0 {
-            // Release memory of fully drained batches.
-            self.items.clear();
-            self.shards.clear();
-        }
-        Some(front.c)
-    }
-}
-
-/// The per-method emission engine: sequential cursor drain or sharded
-/// tournament drain, chosen once at construction from the configured
-/// [`Parallelism`]. Observable behavior is identical either way.
-#[derive(Debug, Clone)]
-pub enum EmissionList {
-    /// One sorted run, drained by cursor ([`ComparisonList`]).
-    Sequential(ComparisonList),
-    /// Per-shard sorted runs, drained through the tournament merge.
-    Sharded(ShardedComparisonList, Parallelism),
-}
-
-impl EmissionList {
-    /// An empty engine for the given thread count (1 → sequential).
-    pub fn new(par: Parallelism) -> Self {
-        if par.is_sequential() {
-            EmissionList::Sequential(ComparisonList::new())
-        } else {
-            EmissionList::Sharded(ShardedComparisonList::new(), par)
-        }
-    }
-
-    /// Replaces the contents with `batch` (sorted sequentially or
-    /// shard-parallel, emission order identical).
-    pub fn refill(&mut self, batch: Vec<Comparison>) {
-        // Per-batch (never per-pop) accounting keeps the drain loop clean.
-        sper_obs::count!("emitter.refills");
-        sper_obs::count!("emitter.refill_comparisons", batch.len() as u64);
-        match self {
-            EmissionList::Sequential(list) => list.refill(batch),
-            EmissionList::Sharded(list, par) => list.refill(batch, *par),
-        }
-    }
-
-    /// Removes and returns the best remaining comparison.
-    pub fn remove_first(&mut self) -> Option<Comparison> {
-        match self {
-            EmissionList::Sequential(list) => list.remove_first(),
-            EmissionList::Sharded(list, _) => list.remove_first(),
-        }
-    }
-
-    /// True when no comparison is left to emit.
-    pub fn is_empty(&self) -> bool {
-        match self {
-            EmissionList::Sequential(list) => list.is_empty(),
-            EmissionList::Sharded(list, _) => list.is_empty(),
-        }
-    }
-
-    /// Number of comparisons left to emit.
-    pub fn remaining(&self) -> usize {
-        match self {
-            EmissionList::Sequential(list) => list.remaining(),
-            EmissionList::Sharded(list, _) => list.remaining(),
-        }
-    }
-
-    /// The configured worker count (1 for the sequential engine).
-    pub fn parallelism(&self) -> Parallelism {
-        match self {
-            EmissionList::Sequential(_) => Parallelism::SEQUENTIAL,
-            EmissionList::Sharded(_, par) => *par,
-        }
     }
 }
 
@@ -367,91 +153,37 @@ mod tests {
     }
 
     #[test]
-    fn nan_weights_do_not_panic() {
-        let mut list = ComparisonList::new();
-        list.refill(vec![cmp(0, 1, f64::NAN), cmp(2, 3, 1.0)]);
-        // Order with NaN is unspecified but draining must be total.
-        assert_eq!(std::iter::from_fn(|| list.remove_first()).count(), 2);
-    }
-
-    /// A deterministic pseudo-random batch with heavy weight ties.
-    fn tie_heavy_batch(n: u32) -> Vec<Comparison> {
-        (0..n)
-            .map(|i| {
-                let a = i.wrapping_mul(2654435761) % 97;
-                let b = (a + 1 + i % 7) % 97 + 97;
-                cmp(a, b, f64::from(i % 5))
-            })
-            .collect()
-    }
-
-    #[test]
-    fn sharded_list_emits_exactly_the_sequential_sequence() {
-        for threads in [2usize, 3, 4, 8] {
-            let batch = tie_heavy_batch(257);
-            let mut seq = ComparisonList::new();
-            seq.refill(batch.clone());
-            let mut par = ShardedComparisonList::new();
-            // Force multi-shard sorting below the spawn threshold so the
-            // tournament merge itself is what this test exercises.
-            par.refill_with_workers(batch, threads);
-            assert_eq!(par.remaining(), seq.remaining());
-            loop {
-                let (a, b) = (seq.remove_first(), par.remove_first());
-                match (a, b) {
-                    (None, None) => break,
-                    (Some(a), Some(b)) => {
-                        assert_eq!(a.pair, b.pair, "threads = {threads}");
-                        assert_eq!(a.weight, b.weight);
-                    }
-                    _ => panic!("lengths diverged at threads = {threads}"),
-                }
-            }
+    fn nan_weights_sort_at_the_ends_of_a_total_order() {
+        // Large enough to leave the small-sort path, where the standard
+        // library's sorts check their comparator for consistency.
+        let mut batch: Vec<Comparison> = (0..1000u32)
+            .map(|i| cmp(i, i + 1000, f64::from(i % 17)))
+            .collect();
+        for i in (0..1000).step_by(7) {
+            batch[i].weight = f64::NAN;
         }
-    }
-
-    #[test]
-    fn sharded_list_handles_empty_and_tiny_batches() {
-        let mut list = ShardedComparisonList::new();
-        list.refill(Vec::new(), Parallelism::new(4).unwrap());
-        assert!(list.is_empty());
-        assert!(list.remove_first().is_none());
-        list.refill(vec![cmp(0, 1, 1.0)], Parallelism::new(8).unwrap());
-        assert_eq!(list.remaining(), 1);
-        assert_eq!(list.remove_first().unwrap().pair.first, ProfileId(0));
-        assert!(list.remove_first().is_none());
-    }
-
-    #[test]
-    fn sharded_list_refills_between_drains() {
-        let mut list = ShardedComparisonList::new();
-        list.refill_with_workers(tie_heavy_batch(10), 3);
-        assert!(list.remove_first().is_some());
-        // Refill mid-drain: previous contents replaced wholesale.
-        list.refill_with_workers(vec![cmp(0, 1, 9.0), cmp(2, 3, 5.0)], 2);
-        assert_eq!(list.remaining(), 2);
-        assert_eq!(list.remove_first().unwrap().weight, 9.0);
-        assert_eq!(list.remove_first().unwrap().weight, 5.0);
-        assert!(list.remove_first().is_none());
-    }
-
-    #[test]
-    fn emission_list_dispatches_by_parallelism() {
-        let seq = EmissionList::new(Parallelism::SEQUENTIAL);
-        assert!(matches!(seq, EmissionList::Sequential(_)));
-        assert!(seq.parallelism().is_sequential());
-        let par = EmissionList::new(Parallelism::new(4).unwrap());
-        assert!(matches!(par, EmissionList::Sharded(..)));
-        assert_eq!(par.parallelism().get(), 4);
-        for mut list in [seq, par] {
-            list.refill(tie_heavy_batch(50));
-            assert_eq!(list.remaining(), 50);
-            let mut prev = f64::INFINITY;
-            while let Some(c) = list.remove_first() {
-                assert!(c.weight <= prev);
-                prev = c.weight;
-            }
-            assert!(list.is_empty());
+        for i in (3..1000).step_by(11) {
+            batch[i].weight = -f64::NAN;
+        }
+        let nan_signed = |c: &Comparison, positive: bool| {
+            c.weight.is_nan() && c.weight.is_sign_positive() == positive
+        };
+        let n_pos = batch.iter().filter(|c| nan_signed(c, true)).count();
+        let n_neg = batch.iter().filter(|c| nan_signed(c, false)).count();
+        let mut list = ComparisonList::new();
+        list.refill(batch);
+        let drained: Vec<Comparison> = std::iter::from_fn(|| list.remove_first()).collect();
+        assert_eq!(drained.len(), 1000);
+        let (head, rest) = drained.split_at(n_pos);
+        let (numbers, tail) = rest.split_at(rest.len() - n_neg);
+        // Positive NaN first, then the numbers in non-increasing order,
+        // then negative NaN; pair id breaks ties inside each group.
+        assert!(head.iter().all(|c| nan_signed(c, true)));
+        assert!(tail.iter().all(|c| nan_signed(c, false)));
+        assert!(numbers.iter().all(|c| !c.weight.is_nan()));
+        assert!(numbers.windows(2).all(|w| w[0].weight >= w[1].weight));
+        for group in [head, tail] {
+            assert!(group.windows(2).all(|w| w[0].pair < w[1].pair));
         }
     }
 }

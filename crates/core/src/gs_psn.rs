@@ -7,7 +7,7 @@
 //! the extra parameter `wmax` and `O(wmax · |p̄| · |P|)` space for the
 //! precomputed Comparison List.
 
-use crate::emitter::EmissionList;
+use crate::emitter::ComparisonList;
 use crate::rcf::NeighborWeighting;
 use crate::scratch::CooccurrenceScratch;
 use crate::{Comparison, ProgressiveEr};
@@ -16,9 +16,8 @@ use sper_blocking::Parallelism;
 use sper_model::{Pair, ProfileCollection, ProfileId};
 
 /// Accumulates co-occurrence frequencies over every window in `[1, wmax]`
-/// for the profiles of `range` — the unit of work of both the sequential
-/// and the sharded initialization, on the shared dense scratch (one per
-/// worker, touched-list reset).
+/// for the profiles of `range` — the unit of work of the initialization,
+/// on a dense scratch (one per worker, touched-list reset).
 fn weight_all_windows_range(
     profiles: &ProfileCollection,
     nl: &NeighborList,
@@ -52,7 +51,7 @@ fn weight_all_windows_range(
 /// The advanced similarity-based method with a global execution order.
 #[derive(Debug)]
 pub struct GsPsn {
-    list: EmissionList,
+    list: ComparisonList,
     wmax: usize,
     nl_len: usize,
 }
@@ -96,21 +95,6 @@ impl GsPsn {
         )
     }
 
-    /// Parallel initialization: builds the Neighbor List and runs the
-    /// all-window accumulation on `par` worker threads, emitting the exact
-    /// sequence of the sequential engine.
-    pub fn with_weighting_par(
-        profiles: &ProfileCollection,
-        seed: u64,
-        wmax: usize,
-        weighting: NeighborWeighting,
-        par: Parallelism,
-    ) -> Self {
-        let nl = NeighborList::par_build(profiles, seed, par.get())
-            .expect("Parallelism is validated non-zero");
-        Self::from_neighbor_list_par(profiles, nl, wmax, weighting, par)
-    }
-
     /// Builds GS-PSN over an externally maintained Neighbor List — the
     /// streaming path (`sper-stream`).
     pub fn from_neighbor_list(
@@ -123,10 +107,9 @@ impl GsPsn {
     }
 
     /// Like [`Self::from_neighbor_list`], accumulating the `[1, wmax]`
-    /// window weights over contiguous profile ranges on `par` worker
-    /// threads (per-worker frequency scratch) and emitting through the
-    /// sharded tournament list. Emission order is identical to the
-    /// sequential engine.
+    /// window weights over work-stealing profile chunks on `par` worker
+    /// threads (per-worker frequency scratch). Emission order is identical
+    /// at every worker count.
     pub fn from_neighbor_list_par(
         profiles: &ProfileCollection,
         nl: NeighborList,
@@ -165,7 +148,7 @@ impl GsPsn {
             )
             .concat();
 
-        let mut list = EmissionList::new(par);
+        let mut list = ComparisonList::new();
         let nl_len = nl.len();
         list.refill(batch);
         Self { list, wmax, nl_len }

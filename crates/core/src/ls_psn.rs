@@ -13,7 +13,7 @@
 //! paper ("a hash index … would increase both the space and the time
 //! complexity").
 
-use crate::emitter::EmissionList;
+use crate::emitter::ComparisonList;
 use crate::rcf::NeighborWeighting;
 use crate::scratch::CooccurrenceScratch;
 use crate::{Comparison, ProgressiveEr};
@@ -22,8 +22,8 @@ use sper_blocking::Parallelism;
 use sper_model::{Pair, ProfileCollection, ProfileId};
 
 /// One weighting pass over `range` at window size `w` (Algorithm 1 lines
-/// 5–20) — the unit of work of both the sequential and the sharded engine,
-/// on the shared dense scratch (one per worker, touched-list reset).
+/// 5–20) — the unit of work of every window fill, on a dense scratch (one
+/// per worker, touched-list reset).
 fn weight_window_range(
     profiles: &ProfileCollection,
     nl: &NeighborList,
@@ -61,11 +61,9 @@ pub struct LsPsn<'a> {
     nl: NeighborList,
     weighting: NeighborWeighting,
     window: usize,
-    list: EmissionList,
-    /// One scratch buffer per worker (a single one for the sequential
-    /// engine), reused across window refills. Transient by design — never
-    /// persisted, rebuilt on rehydration.
-    scratch: Vec<CooccurrenceScratch>,
+    list: ComparisonList,
+    /// Worker count of every window fill.
+    par: Parallelism,
 }
 
 impl<'a> LsPsn<'a> {
@@ -96,20 +94,6 @@ impl<'a> LsPsn<'a> {
         Self::from_neighbor_list(profiles, NeighborList::build(profiles, seed), weighting)
     }
 
-    /// Parallel initialization: builds the Neighbor List and weights every
-    /// window on `par` worker threads, emitting the exact sequence of the
-    /// sequential engine.
-    pub fn with_weighting_par(
-        profiles: &'a ProfileCollection,
-        seed: u64,
-        weighting: NeighborWeighting,
-        par: Parallelism,
-    ) -> Self {
-        let nl = NeighborList::par_build(profiles, seed, par.get())
-            .expect("Parallelism is validated non-zero");
-        Self::from_neighbor_list_par(profiles, nl, weighting, par)
-    }
-
     /// Builds LS-PSN over an externally maintained Neighbor List — the
     /// streaming path (`sper-stream`), where the list is kept up to date
     /// incrementally instead of being rebuilt per run. The list must index
@@ -123,9 +107,9 @@ impl<'a> LsPsn<'a> {
     }
 
     /// Like [`Self::from_neighbor_list`], weighting each window's
-    /// comparisons on `par` worker threads (per-worker scratch, contiguous
-    /// profile ranges) and emitting through the sharded tournament list.
-    /// Emission order is identical to the sequential engine.
+    /// comparisons on `par` worker threads (work-stealing profile chunks,
+    /// per-worker scratch). Emission order is identical at every worker
+    /// count.
     pub fn from_neighbor_list_par(
         profiles: &'a ProfileCollection,
         nl: NeighborList,
@@ -137,14 +121,13 @@ impl<'a> LsPsn<'a> {
             profiles.len(),
             "Neighbor List indexes a different profile count"
         );
-        let n = profiles.len();
         let mut this = Self {
             profiles,
             nl,
             weighting,
             window: 1,
-            list: EmissionList::new(par),
-            scratch: vec![CooccurrenceScratch::new(n); par.get()],
+            list: ComparisonList::new(),
+            par,
         };
         this.fill_window();
         this
@@ -161,43 +144,32 @@ impl<'a> LsPsn<'a> {
         let w = self.window as isize;
         let iterated = crate::iterated_profile_range(self.profiles);
         // One fill per window growth: below the spawn break-even, keep the
-        // pass on the calling thread (per-worker scratch stays warm).
-        let par = if iterated.len() < crate::emitter::MIN_PARALLEL_BATCH {
-            sper_blocking::Parallelism::SEQUENTIAL
+        // pass on the calling thread.
+        let par = if iterated.len() < sper_blocking::MIN_PARALLEL_BATCH {
+            Parallelism::SEQUENTIAL
         } else {
-            self.list.parallelism().capped(iterated.len())
+            self.par
         };
-        let batch: Vec<Comparison> = if par.is_sequential() {
-            weight_window_range(
-                self.profiles,
-                &self.nl,
-                self.weighting,
-                w,
-                iterated,
-                &mut self.scratch[0],
+        let (profiles, nl, weighting) = (self.profiles, &self.nl, self.weighting);
+        // Each chunk's batch is a pure function of its profile range, so
+        // the chunk-order concatenation is the same at every worker count.
+        let batch: Vec<Comparison> = par
+            .steal_chunks(
+                iterated.len(),
+                sper_blocking::STEAL_MIN_CHUNK,
+                || CooccurrenceScratch::new(profiles.len()),
+                |scratch, range, _chunk| {
+                    weight_window_range(
+                        profiles,
+                        nl,
+                        weighting,
+                        w,
+                        range.start as u32..range.end as u32,
+                        scratch,
+                    )
+                },
             )
-        } else {
-            let workers = par.get();
-            let chunk = (iterated.len().div_ceil(workers)) as u32;
-            let (profiles, nl, weighting) = (self.profiles, &self.nl, self.weighting);
-            let mut results: Vec<Vec<Comparison>> = Vec::new();
-            crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = self.scratch[..workers]
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(k, scratch)| {
-                        let start = iterated.start + (k as u32) * chunk;
-                        let end = (start + chunk).min(iterated.end);
-                        scope.spawn(move |_| {
-                            weight_window_range(profiles, nl, weighting, w, start..end, scratch)
-                        })
-                    })
-                    .collect();
-                results = handles.into_iter().map(|h| h.join().unwrap()).collect();
-            })
-            .expect("window weighting panicked");
-            results.concat()
-        };
+            .concat();
         self.list.refill(batch);
     }
 }

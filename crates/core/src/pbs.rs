@@ -10,7 +10,7 @@
 //!    **LeCoBI** condition, weight the new ones from the Blocking Graph via
 //!    the Profile Index, and emit them in non-increasing weight.
 
-use crate::emitter::EmissionList;
+use crate::emitter::ComparisonList;
 use crate::{Comparison, ProgressiveEr};
 use sper_blocking::{
     BlockCollection, BlockId, Parallelism, ProfileIndex, TokenBlockingWorkflow, WeightAccumulator,
@@ -25,7 +25,9 @@ pub struct Pbs {
     index: ProfileIndex,
     scheme: WeightingScheme,
     next_block: usize,
-    list: EmissionList,
+    list: ComparisonList,
+    /// Worker count of the refills of super-break-even blocks.
+    par: Parallelism,
     /// Reusable sparse-accumulator scratch of the anchor-sweep refill
     /// (transient by design — never persisted, rebuilt on rehydration).
     acc: WeightAccumulator,
@@ -73,9 +75,8 @@ impl Pbs {
     }
 
     /// Like [`Self::from_blocks`], weighting each scheduled block's
-    /// comparisons on `par` worker threads and emitting through the sharded
-    /// tournament list. Emission order is identical to the sequential
-    /// engine: the LeCoBI dedup is a per-pair predicate and the batch
+    /// comparisons on `par` worker threads. Emission order is identical at
+    /// every worker count: the LeCoBI dedup is a per-pair predicate and the batch
     /// concatenation preserves the block's comparison order.
     pub fn from_blocks_par(
         mut blocks: BlockCollection,
@@ -112,7 +113,8 @@ impl Pbs {
             index,
             scheme,
             next_block: 0,
-            list: EmissionList::new(par),
+            list: ComparisonList::new(),
+            par,
             acc: WeightAccumulator::new(n),
             forward_volume,
         };
@@ -131,7 +133,7 @@ impl Pbs {
     }
 
     /// LeCoBI-filters and weights one block's comparison slice with
-    /// per-pair merge intersections — the unit of work of the sharded
+    /// per-pair merge intersections — the unit of work of the fanned-out
     /// refill (and the reference the anchor-sweep path is tested against:
     /// both produce the identical comparison sequence).
     fn weigh_pairs(
@@ -228,12 +230,11 @@ impl Pbs {
     fn fill_next_block(&mut self) -> bool {
         while self.next_block < self.blocks.len() {
             let bid = BlockId(self.next_block as u32);
-            let par = self.list.parallelism();
             // Most token blocks are tiny; below the spawn break-even the
             // fan-out would cost more than the weighting it distributes.
             let cardinality = self.blocks.cardinality(bid) as usize;
             let mut batch: Vec<Comparison> = Vec::new();
-            if par.is_sequential() || cardinality < crate::emitter::MIN_PARALLEL_BATCH {
+            if self.par.is_sequential() || cardinality < sper_blocking::MIN_PARALLEL_BATCH {
                 self.fill_block_sequential(bid, &mut batch);
             } else {
                 let kind = self.blocks.kind();
@@ -243,7 +244,8 @@ impl Pbs {
                 // filter and weighting read shared state only); the batch
                 // is a pure function of the pair range, so chunk-order
                 // concatenation reproduces the fixed-range output.
-                batch = par
+                batch = self
+                    .par
                     .steal_chunks(
                         pairs.len(),
                         sper_blocking::STEAL_MIN_CHUNK,

@@ -17,7 +17,7 @@
 //! touched list for `O(degree)` resets, weights bit-identical to the
 //! materialized blocking graph's.
 
-use crate::emitter::EmissionList;
+use crate::emitter::ComparisonList;
 use crate::{Comparison, ProgressiveEr};
 use sper_blocking::{
     BlockCollection, Parallelism, ProfileIndex, TokenBlockingWorkflow, WeightAccumulator,
@@ -30,9 +30,9 @@ use std::collections::HashMap;
 /// entries in profile order plus the per-profile top comparisons.
 type InitShard = (Vec<(ProfileId, f64)>, Vec<Comparison>);
 
-/// Algorithm 5 over one contiguous profile range — the unit of work of
-/// both the sequential and the sharded initialization, running the shared
-/// sparse-accumulator kernel with per-worker scratch.
+/// Algorithm 5 over one contiguous profile range — the unit of work of the
+/// initialization, running the shared sparse-accumulator kernel with
+/// per-worker scratch.
 fn init_range(
     blocks: &BlockCollection,
     index: &ProfileIndex,
@@ -85,7 +85,7 @@ pub struct Pps {
     sorted_profiles: Vec<ProfileId>,
     profile_cursor: usize,
     checked: Vec<bool>,
-    list: EmissionList,
+    list: ComparisonList,
     /// The reusable sparse-accumulator scratch of the emission phase
     /// (transient by design — never persisted, rebuilt on rehydration).
     acc: WeightAccumulator,
@@ -141,10 +141,10 @@ impl Pps {
     }
 
     /// Like [`Self::from_blocks`], running the Algorithm-5 initialization
-    /// (the top-k scheduling pass — PPS's dominant cost) over contiguous
-    /// profile ranges on `par` worker threads with per-worker scratch, and
-    /// emitting through the sharded tournament list. The Sorted Profile
-    /// List and the emission order are identical to the sequential engine.
+    /// (the top-k scheduling pass — PPS's dominant cost) over work-stealing
+    /// profile chunks on `par` worker threads with per-worker scratch. The
+    /// Sorted Profile List and the emission order are identical at every
+    /// worker count.
     pub fn from_blocks_par(
         mut blocks: BlockCollection,
         scheme: WeightingScheme,
@@ -167,19 +167,18 @@ impl Pps {
             sorted_profiles: Vec::new(),
             profile_cursor: 0,
             checked: vec![false; n],
-            list: EmissionList::new(par),
+            list: ComparisonList::new(),
             acc: WeightAccumulator::new(n),
         };
-        this.initialize();
+        this.initialize(par);
         this
     }
 
     /// Algorithm 5: per profile, accumulate neighborhood weights, record the
     /// duplication likelihood and the top comparison — over contiguous
-    /// profile ranges on the configured workers.
-    fn initialize(&mut self) {
+    /// profile ranges on `par` workers.
+    fn initialize(&mut self, par: Parallelism) {
         let n = self.checked.len();
-        let par = self.list.parallelism();
         let (blocks, index, scheme) = (&self.blocks, &self.index, self.scheme);
         // Work-stealing chunks with one accumulator per worker; each
         // chunk's shard is a pure function of its profile range, so
@@ -208,11 +207,7 @@ impl Pps {
             tops.extend(t);
         }
 
-        likelihood.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.0.cmp(&b.0))
-        });
+        likelihood.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         self.sorted_profiles = likelihood.into_iter().map(|(p, _)| p).collect();
 
         // Deduplicate the per-profile top comparisons (a pair can be the

@@ -6,9 +6,9 @@
 //! with the current profile inside sliding windows of the Neighbor List.
 //! Exactly like the block-side kernel, the counts live in one dense
 //! reusable array indexed by profile id, with a touched list making resets
-//! `O(degree)` — no `HashMap`, no per-window allocation. The scratch is
-//! transient by design: it is a pure function of the substrate it scans,
-//! so it is never persisted (`sper-store` rebuilds it on rehydration).
+//! `O(degree)` — no `HashMap`, one allocation per worker per pass. The
+//! scratch is transient by design: it is a pure function of the substrate
+//! it scans, so it is never persisted (`sper-store` rebuilds it on rehydration).
 
 use sper_model::ProfileId;
 

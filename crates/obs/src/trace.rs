@@ -11,7 +11,7 @@
 //! stack**: each worker thread records its own depth independently, so
 //! tracing observes the parallel engine without synchronizing it —
 //! recording never orders threads against each other, which is why
-//! enabling tracing cannot perturb the deterministic tournament merges
+//! enabling tracing cannot perturb the deterministic chunk-order merges
 //! (see DESIGN.md "Observability").
 //!
 //! Three production sinks are provided:

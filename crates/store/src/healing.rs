@@ -414,6 +414,14 @@ mod tests {
         s
     }
 
+    /// Takes the process-wide failpoint lock with nothing armed, so a
+    /// concurrently running fault-injection test can neither fire a fault
+    /// in this test's writes nor have its one-shot trigger consumed by
+    /// them.
+    fn unfaulted() -> sper_obs::fault::Armed {
+        sper_obs::fault::arm_scoped("").expect("empty schedule parses")
+    }
+
     fn first_payload_byte(path: &Path) -> u8 {
         let s = Store::read_from_path(path).expect("readable generation");
         s.get(*b"DATA").expect("DATA section")[0]
@@ -421,6 +429,7 @@ mod tests {
 
     #[test]
     fn rotation_keeps_the_previous_generation() {
+        let _serial = unfaulted();
         let d = dir("rotate");
         let path = d.join("run.sper");
         store_with(1).write_rotated(&path).unwrap();
@@ -437,6 +446,7 @@ mod tests {
 
     #[test]
     fn fallback_reads_prev_when_current_is_corrupt() {
+        let _serial = unfaulted();
         let d = dir("fallback");
         let path = d.join("run.sper");
         store_with(1).write_rotated(&path).unwrap();
@@ -454,6 +464,7 @@ mod tests {
 
     #[test]
     fn both_generations_torn_is_a_typed_error_not_a_panic() {
+        let _serial = unfaulted();
         let d = dir("torn");
         let path = d.join("run.sper");
         store_with(1).write_rotated(&path).unwrap();

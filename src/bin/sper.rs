@@ -452,6 +452,19 @@ fn parse_threads(args: &[String]) -> Result<Parallelism, CliError> {
     }
 }
 
+/// `--scale`, defaulting to 1.0. A size factor must be a positive finite
+/// number; anything else is a usage error.
+fn parse_scale(args: &[String]) -> Result<f64, CliError> {
+    let scale: f64 = parse_flag(args, "--scale")?.unwrap_or(1.0);
+    if scale.is_finite() && scale > 0.0 {
+        Ok(scale)
+    } else {
+        Err(CliError::usage(format!(
+            "--scale: must be a positive finite number, got {scale}"
+        )))
+    }
+}
+
 fn parse_method(s: &str) -> Result<ProgressiveMethod, CliError> {
     Ok(match s.to_ascii_lowercase().as_str() {
         "psn" => ProgressiveMethod::Psn,
@@ -526,8 +539,9 @@ fn load_source(
 ) -> Result<(ProfileCollection, Option<GroundTruth>), CliError> {
     match parse_dataset(source) {
         Ok(kind) => {
-            let scale: f64 = parse_flag(args, "--scale")?.unwrap_or(1.0);
-            let data = DatasetSpec::paper(kind).with_scale(scale).generate();
+            let data = DatasetSpec::paper(kind)
+                .with_scale(parse_scale(args)?)
+                .generate();
             Ok((data.profiles, Some(data.truth)))
         }
         Err(_) => {
@@ -1271,8 +1285,9 @@ fn generate(args: &[String]) -> Result<(), CliError> {
         args.get(1)
             .ok_or_else(|| CliError::usage("generate needs a dataset name"))?,
     )?;
-    let scale: f64 = parse_flag(args, "--scale")?.unwrap_or(1.0);
-    let data = DatasetSpec::paper(kind).with_scale(scale).generate();
+    let data = DatasetSpec::paper(kind)
+        .with_scale(parse_scale(args)?)
+        .generate();
     event!(
         Level::Info,
         "cli.generate",

@@ -74,6 +74,11 @@ fn run_stream(extra: &[&str]) -> (String, String) {
     )
 }
 
+/// Holds every stream epoch open for a moment, so a listened run cannot
+/// finish before the test has scraped it. The delay changes timing only,
+/// never what gets emitted.
+const HOLD_EPOCHS: &str = "session.epoch=delay(300)";
+
 fn read_to_string(path: &Path) -> String {
     std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
 }
@@ -105,6 +110,7 @@ fn scraped_run_is_bit_identical_and_endpoints_answer_mid_run() {
         ])
         .args(["--listen", "127.0.0.1:0"])
         .args(["--emit-pairs", live_pairs.to_str().unwrap()])
+        .env("SPER_FAILPOINTS", HOLD_EPOCHS)
         .stdout(Stdio::null())
         .stderr(Stdio::piped())
         .spawn()
@@ -113,7 +119,8 @@ fn scraped_run_is_bit_identical_and_endpoints_answer_mid_run() {
     let addr = wait_for_listen_line(&mut child);
 
     // The listener starts before any dataset generation or streaming
-    // work, so the child must still be running when we scrape.
+    // work, and every epoch is held open, so the child must still be
+    // running when we scrape.
     assert!(
         child.try_wait().expect("try_wait").is_none(),
         "run finished before we could scrape it"
@@ -179,6 +186,7 @@ fn hostile_clients_neither_stall_healthz_nor_kill_the_run() {
             "2",
         ])
         .args(["--listen", "127.0.0.1:0"])
+        .env("SPER_FAILPOINTS", HOLD_EPOCHS)
         .stdout(Stdio::null())
         .stderr(Stdio::piped())
         .spawn()
