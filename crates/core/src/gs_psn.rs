@@ -128,29 +128,27 @@ impl GsPsn {
         let iterated = crate::iterated_profile_range(profiles);
         let nl_ref = &nl;
         // Work-stealing chunks with a per-worker frequency scratch; each
-        // chunk's batch is a pure function of its profile range, so the
-        // chunk-order concatenation reproduces the sequential sequence.
-        let batch: Vec<Comparison> = par
-            .steal_chunks(
-                iterated.len(),
-                sper_blocking::STEAL_MIN_CHUNK,
-                || CooccurrenceScratch::new(profiles.len()),
-                |scratch, range, _chunk| {
-                    weight_all_windows_range(
-                        profiles,
-                        nl_ref,
-                        wmax,
-                        weighting,
-                        range.start as u32..range.end as u32,
-                        scratch,
-                    )
-                },
-            )
-            .concat();
+        // chunk's batch is a pure function of its profile range, and the
+        // list's emission order does not depend on the chunking.
+        let chunks = par.steal_chunks(
+            iterated.len(),
+            sper_blocking::STEAL_MIN_CHUNK,
+            || CooccurrenceScratch::new(profiles.len()),
+            |scratch, range, _chunk| {
+                weight_all_windows_range(
+                    profiles,
+                    nl_ref,
+                    wmax,
+                    weighting,
+                    range.start as u32..range.end as u32,
+                    scratch,
+                )
+            },
+        );
 
         let mut list = ComparisonList::new();
         let nl_len = nl.len();
-        list.refill(batch);
+        list.refill(chunks);
         Self { list, wmax, nl_len }
     }
 

@@ -37,7 +37,7 @@ pub mod sa_psab;
 pub mod sa_psn;
 pub(crate) mod scratch;
 
-pub use emitter::{emission_order, ComparisonList};
+pub use emitter::{emission_order, Chunks, ComparisonList};
 pub use method::{build_method, MethodConfig, ProgressiveMethod};
 pub use rcf::{rcf_weight, NeighborWeighting};
 // The thread-count boundary of the parallel engine, re-exported so method

@@ -151,26 +151,24 @@ impl<'a> LsPsn<'a> {
             self.par
         };
         let (profiles, nl, weighting) = (self.profiles, &self.nl, self.weighting);
-        // Each chunk's batch is a pure function of its profile range, so
-        // the chunk-order concatenation is the same at every worker count.
-        let batch: Vec<Comparison> = par
-            .steal_chunks(
-                iterated.len(),
-                sper_blocking::STEAL_MIN_CHUNK,
-                || CooccurrenceScratch::new(profiles.len()),
-                |scratch, range, _chunk| {
-                    weight_window_range(
-                        profiles,
-                        nl,
-                        weighting,
-                        w,
-                        range.start as u32..range.end as u32,
-                        scratch,
-                    )
-                },
-            )
-            .concat();
-        self.list.refill(batch);
+        // Each chunk's batch is a pure function of its profile range, and
+        // the list's emission order does not depend on the chunking.
+        let chunks = par.steal_chunks(
+            iterated.len(),
+            sper_blocking::STEAL_MIN_CHUNK,
+            || CooccurrenceScratch::new(profiles.len()),
+            |scratch, range, _chunk| {
+                weight_window_range(
+                    profiles,
+                    nl,
+                    weighting,
+                    w,
+                    range.start as u32..range.end as u32,
+                    scratch,
+                )
+            },
+        );
+        self.list.refill(chunks);
     }
 }
 

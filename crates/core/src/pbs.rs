@@ -230,34 +230,35 @@ impl Pbs {
     fn fill_next_block(&mut self) -> bool {
         while self.next_block < self.blocks.len() {
             let bid = BlockId(self.next_block as u32);
+            self.next_block += 1;
             // Most token blocks are tiny; below the spawn break-even the
             // fan-out would cost more than the weighting it distributes.
             let cardinality = self.blocks.cardinality(bid) as usize;
-            let mut batch: Vec<Comparison> = Vec::new();
             if self.par.is_sequential() || cardinality < sper_blocking::MIN_PARALLEL_BATCH {
+                let mut batch = Vec::new();
                 self.fill_block_sequential(bid, &mut batch);
+                if !batch.is_empty() {
+                    self.list.refill(batch);
+                    return true;
+                }
             } else {
                 let kind = self.blocks.kind();
                 let pairs = self.blocks.get(bid).comparisons(kind);
                 let (index, scheme) = (&self.index, self.scheme);
                 // Work-stealing chunks (no per-worker scratch: the LeCoBI
-                // filter and weighting read shared state only); the batch
-                // is a pure function of the pair range, so chunk-order
-                // concatenation reproduces the fixed-range output.
-                batch = self
-                    .par
-                    .steal_chunks(
-                        pairs.len(),
-                        sper_blocking::STEAL_MIN_CHUNK,
-                        || (),
-                        |(), range, _chunk| Self::weigh_pairs(index, scheme, bid, &pairs[range]),
-                    )
-                    .concat();
-            }
-            self.next_block += 1;
-            if !batch.is_empty() {
-                self.list.refill(batch);
-                return true;
+                // filter and weighting read shared state only); each chunk
+                // is a pure function of its pair range, and the list's
+                // emission order does not depend on the chunking.
+                let chunks = self.par.steal_chunks(
+                    pairs.len(),
+                    sper_blocking::STEAL_MIN_CHUNK,
+                    || (),
+                    |(), range, _chunk| Self::weigh_pairs(index, scheme, bid, &pairs[range]),
+                );
+                if chunks.iter().any(|c| !c.is_empty()) {
+                    self.list.refill(chunks);
+                    return true;
+                }
             }
         }
         false

@@ -247,9 +247,12 @@ impl Pps {
                 batch.push(Comparison::new(Pair::new(i, j), w));
             }
             self.acc.reset();
-            // SortedStack semantics: keep only the Kmax best.
-            batch.sort_by(crate::emission_order);
-            batch.truncate(self.kmax);
+            // SortedStack semantics: keep only the Kmax best (a unique set,
+            // as the order is total); the list sorts them.
+            if batch.len() > self.kmax {
+                batch.select_nth_unstable_by(self.kmax - 1, crate::emission_order);
+                batch.truncate(self.kmax);
+            }
             self.list.refill(batch);
             return true;
         }

@@ -12,11 +12,17 @@ use std::io::{self, BufRead, Write};
 
 /// Parses one CSV record from `input` starting at byte `pos`; returns the
 /// fields and the next position, or `None` at end of input.
-fn parse_record(input: &str, mut pos: usize) -> Option<(Vec<String>, usize)> {
+///
+/// # Errors
+///
+/// Returns [`io::ErrorKind::InvalidData`] when the input ends inside a
+/// quoted field.
+fn parse_record(input: &str, mut pos: usize) -> io::Result<Option<(Vec<String>, usize)>> {
     let bytes = input.as_bytes();
     if pos >= bytes.len() {
-        return None;
+        return Ok(None);
     }
+    let start = pos;
     let mut fields = Vec::new();
     let mut field = String::new();
     let mut in_quotes = false;
@@ -52,12 +58,12 @@ fn parse_record(input: &str, mut pos: usize) -> Option<(Vec<String>, usize)> {
                 b'\r' if pos + 1 < bytes.len() && bytes[pos + 1] == b'\n' => {
                     pos += 2;
                     fields.push(field);
-                    return Some((fields, pos));
+                    return Ok(Some((fields, pos)));
                 }
                 b'\n' => {
                     pos += 1;
                     fields.push(field);
-                    return Some((fields, pos));
+                    return Ok(Some((fields, pos)));
                 }
                 _ => {
                     let ch_len = utf8_len(c);
@@ -67,8 +73,25 @@ fn parse_record(input: &str, mut pos: usize) -> Option<(Vec<String>, usize)> {
             }
         }
     }
+    if in_quotes {
+        // Accepting this would fold every later record into one field.
+        return Err(unterminated_quote(input, start));
+    }
     fields.push(field);
-    Some((fields, pos))
+    Ok(Some((fields, pos)))
+}
+
+/// The error for input that ends inside a quoted field of the record
+/// starting at byte `start`; kept out of line so the parse loop stays
+/// small.
+#[cold]
+#[inline(never)]
+fn unterminated_quote(input: &str, start: usize) -> io::Error {
+    let line = 1 + input[..start].matches('\n').count();
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!("unterminated quoted field in the record starting on line {line}"),
+    )
 }
 
 #[inline]
@@ -95,15 +118,16 @@ fn escape(field: &str) -> String {
 ///
 /// # Errors
 ///
-/// Returns an error for an empty input or records wider than the header.
+/// Returns an error for an empty input, records wider than the header, or
+/// an input that ends inside a quoted field.
 pub fn read_csv(text: &str) -> io::Result<ProfileCollection> {
     let mut pos = 0;
-    let Some((header, next)) = parse_record(text, pos) else {
+    let Some((header, next)) = parse_record(text, pos)? else {
         return Err(io::Error::new(io::ErrorKind::InvalidData, "empty CSV"));
     };
     pos = next;
     let mut builder = ProfileCollectionBuilder::dirty();
-    while let Some((record, next)) = parse_record(text, pos) {
+    while let Some((record, next)) = parse_record(text, pos)? {
         pos = next;
         if record.len() == 1 && record[0].is_empty() {
             continue; // trailing blank line
@@ -249,6 +273,20 @@ mod tests {
     fn rejects_empty_and_wide_records() {
         assert!(read_csv("").is_err());
         assert!(read_csv("a,b\n1,2,3\n").is_err());
+    }
+
+    #[test]
+    fn unterminated_quote_is_invalid_data() {
+        // Four records; the second opens a quote it never closes, which
+        // would otherwise swallow the rest of the file into one field.
+        let text = "name,city\nAnn,NY\n\"Bob,LA\nCid,SF\nDee,DC\n";
+        let err = read_csv(text).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("line 3"), "{err}");
+        let header_only = read_csv("\"name,city\n").unwrap_err();
+        assert_eq!(header_only.kind(), io::ErrorKind::InvalidData);
+        // A closed quote at end of input is fine.
+        assert_eq!(read_csv("name\n\"Ann\"").unwrap().len(), 1);
     }
 
     #[test]

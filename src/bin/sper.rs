@@ -465,6 +465,19 @@ fn parse_scale(args: &[String]) -> Result<f64, CliError> {
     }
 }
 
+/// `--threshold`, defaulting to 0.5. A Jaccard threshold must be a finite
+/// number in [0, 1]; anything else is a usage error.
+fn parse_threshold(args: &[String]) -> Result<f64, CliError> {
+    let threshold: f64 = parse_flag(args, "--threshold")?.unwrap_or(0.5);
+    if (0.0..=1.0).contains(&threshold) {
+        Ok(threshold)
+    } else {
+        Err(CliError::usage(format!(
+            "--threshold: must be a finite number in [0, 1], got {threshold}"
+        )))
+    }
+}
+
 fn parse_method(s: &str) -> Result<ProgressiveMethod, CliError> {
     Ok(match s.to_ascii_lowercase().as_str() {
         "psn" => ProgressiveMethod::Psn,
@@ -566,7 +579,7 @@ fn resolve(args: &[String]) -> Result<(), CliError> {
         ));
     }
     let budget: u64 = parse_flag(args, "--budget")?.unwrap_or(10 * profiles.len() as u64);
-    let threshold: f64 = parse_flag(args, "--threshold")?.unwrap_or(0.5);
+    let threshold = parse_threshold(args)?;
 
     let threads = parse_threads(args)?;
     event!(
