@@ -5,8 +5,8 @@
 //! [`BlockCollection`] stores its blocks in **CSR form** (compressed sparse
 //! row): one packed member array plus per-block offsets, instead of one
 //! heap allocation per block. [`Block`] remains as the *owned, growable*
-//! building unit used by the streaming ingest path and the suffix forest;
-//! collections pack those into CSR on construction.
+//! building unit used by the streaming ingest path; collections pack those
+//! into CSR on construction.
 
 use sper_model::{ErKind, Pair, ProfileId, SourceId};
 use sper_text::{TokenId, TokenInterner};
@@ -65,32 +65,11 @@ pub(crate) fn cardinality_of(kind: ErKind, size: usize, n_first: u32) -> u64 {
     }
 }
 
-/// Appends a member slice's valid comparisons to `out`.
-fn push_comparisons(out: &mut Vec<Pair>, kind: ErKind, members: &[ProfileId], n_first: u32) {
-    match kind {
-        ErKind::Dirty => {
-            for (i, &a) in members.iter().enumerate() {
-                for &b in &members[i + 1..] {
-                    out.push(Pair::new(a, b));
-                }
-            }
-        }
-        ErKind::CleanClean => {
-            let (firsts, seconds) = members.split_at(n_first as usize);
-            for &a in firsts {
-                for &b in seconds {
-                    out.push(Pair::new(a, b));
-                }
-            }
-        }
-    }
-}
-
 /// An owned block: the set of profiles indexed under one blocking key.
 ///
 /// This is the *building* representation — the streaming substrates grow
-/// blocks member by member, the suffix forest owns one per node. Query-side
-/// consumers see [`BlockRef`] views into a CSR [`BlockCollection`] instead.
+/// blocks member by member. Query-side consumers see [`BlockRef`] views
+/// into a CSR [`BlockCollection`] instead.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Block {
     /// The interned blocking key (attribute-value token, suffix, …).
@@ -217,14 +196,6 @@ impl Block {
     pub fn cardinality(&self, kind: ErKind) -> u64 {
         cardinality_of(kind, self.profiles.len(), self.n_first)
     }
-
-    /// Iterates the block's valid comparisons: all unordered pairs for
-    /// Dirty ER, cross-source pairs for Clean-clean ER.
-    pub fn comparisons(&self, kind: ErKind) -> Vec<Pair> {
-        let mut out = Vec::with_capacity(self.cardinality(kind) as usize);
-        push_comparisons(&mut out, kind, &self.profiles, self.n_first);
-        out
-    }
 }
 
 /// A borrowed view of one block inside a CSR [`BlockCollection`].
@@ -272,10 +243,26 @@ impl<'a> BlockRef<'a> {
         cardinality_of(kind, self.members.len(), self.n_first)
     }
 
-    /// The block's valid comparisons (see [`Block::comparisons`]).
+    /// The block's valid comparisons: all unordered pairs for Dirty ER,
+    /// cross-source pairs for Clean-clean ER.
     pub fn comparisons(&self, kind: ErKind) -> Vec<Pair> {
         let mut out = Vec::with_capacity(self.cardinality(kind) as usize);
-        push_comparisons(&mut out, kind, self.members, self.n_first);
+        match kind {
+            ErKind::Dirty => {
+                for (i, &a) in self.members.iter().enumerate() {
+                    for &b in &self.members[i + 1..] {
+                        out.push(Pair::new(a, b));
+                    }
+                }
+            }
+            ErKind::CleanClean => {
+                for &a in self.first_source() {
+                    for &b in self.second_source() {
+                        out.push(Pair::new(a, b));
+                    }
+                }
+            }
+        }
         out
     }
 
@@ -644,6 +631,12 @@ mod tests {
         BlockCollection::new(kind, n, Arc::clone(it), blocks)
     }
 
+    /// The comparisons of one owned block, through its CSR view.
+    fn comparisons(it: &Arc<TokenInterner>, b: &Block, kind: ErKind) -> Vec<Pair> {
+        let coll = coll(kind, 8, it, vec![b.clone()]);
+        coll.get(BlockId(0)).comparisons(kind)
+    }
+
     #[test]
     fn dirty_cardinality_is_binomial() {
         let it = TokenInterner::shared();
@@ -651,7 +644,7 @@ mod tests {
         let b = Block::new_dirty(it.intern("tailor"), vec![pid(0), pid(1), pid(2), pid(5)]);
         assert_eq!(b.size(), 4);
         assert_eq!(b.cardinality(ErKind::Dirty), 6);
-        assert_eq!(b.comparisons(ErKind::Dirty).len(), 6);
+        assert_eq!(comparisons(&it, &b, ErKind::Dirty).len(), 6);
     }
 
     #[test]
@@ -666,7 +659,7 @@ mod tests {
             ],
         );
         assert_eq!(b.cardinality(ErKind::CleanClean), 2);
-        let cmps = b.comparisons(ErKind::CleanClean);
+        let cmps = comparisons(&it, &b, ErKind::CleanClean);
         assert_eq!(cmps.len(), 2);
         assert!(cmps.contains(&Pair::new(pid(0), pid(7))));
         assert!(cmps.contains(&Pair::new(pid(1), pid(7))));
@@ -687,7 +680,7 @@ mod tests {
             vec![(pid(0), SourceId::FIRST), (pid(1), SourceId::FIRST)],
         );
         assert_eq!(b.cardinality(ErKind::CleanClean), 0);
-        assert!(b.comparisons(ErKind::CleanClean).is_empty());
+        assert!(comparisons(&it, &b, ErKind::CleanClean).is_empty());
     }
 
     #[test]

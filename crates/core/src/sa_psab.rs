@@ -11,15 +11,31 @@
 
 use crate::{Comparison, ProgressiveEr};
 use sper_blocking::suffix_forest::SuffixForest;
-use sper_model::{Pair, ProfileCollection};
+use sper_model::{ErKind, Pair, ProfileCollection};
 
 /// The naïve hierarchy-based method.
+///
+/// Emission walks the forest's CSR rows in place: the cursor `(a, b)`
+/// names the next pair `(members[a], members[b])` of the loaded node, in
+/// the order [`BlockRef::comparisons`](sper_blocking::BlockRef::comparisons)
+/// lists them, so no per-node pair buffer is built.
 #[derive(Debug)]
 pub struct SaPsab {
     forest: SuffixForest,
-    node_idx: usize,
-    buffer: Vec<Pair>,
-    buf_idx: usize,
+    kind: ErKind,
+    /// The next node to load.
+    next_node: usize,
+    /// Cursor into the forest's packed member array.
+    a: usize,
+    b: usize,
+    /// One past the last `a` of the loaded node that has a partner.
+    a_end: usize,
+    /// End of the loaded node's row.
+    end: usize,
+    /// Start of the loaded node's `P2` partition.
+    second: usize,
+    /// Weight of the loaded node's comparisons.
+    weight: f64,
 }
 
 impl SaPsab {
@@ -45,9 +61,14 @@ impl SaPsab {
     pub fn new(profiles: &ProfileCollection, lmin: usize) -> Self {
         Self {
             forest: SuffixForest::build(profiles, lmin),
-            node_idx: 0,
-            buffer: Vec::new(),
-            buf_idx: 0,
+            kind: profiles.kind(),
+            next_node: 0,
+            a: 0,
+            b: 0,
+            a_end: 0,
+            end: 0,
+            second: 0,
+            weight: 0.0,
         }
     }
 
@@ -62,18 +83,39 @@ impl Iterator for SaPsab {
 
     fn next(&mut self) -> Option<Comparison> {
         loop {
-            if self.buf_idx < self.buffer.len() {
-                let pair = self.buffer[self.buf_idx];
-                self.buf_idx += 1;
+            let members = self.forest.blocks().raw_parts().members;
+            if let Some(&other) = members[..self.end].get(self.b) {
+                self.b += 1;
+                let pair = Pair::new(members[self.a], other);
+                return Some(Comparison::new(pair, self.weight));
+            }
+            // `a` has no partner left: advance it, loading the next node
+            // when the row is done.
+            self.a += 1;
+            if self.a >= self.a_end {
+                if self.next_node == self.forest.len() {
+                    return None;
+                }
+                let node = self.forest.node(self.next_node);
+                let start = self.forest.blocks().raw_parts().offsets[self.next_node] as usize;
+                self.next_node += 1;
+                self.a = start;
+                self.end = start + node.block.size();
+                self.second = start + node.block.first_source().len();
+                self.a_end = match self.kind {
+                    ErKind::Dirty => self.end - 1,
+                    ErKind::CleanClean => self.second,
+                };
                 // All comparisons of one block share the same (implicit)
                 // likelihood; the suffix length is a natural proxy.
-                let depth = self.forest.nodes()[self.node_idx - 1].suffix_len;
-                return Some(Comparison::new(pair, f64::from(depth)));
+                self.weight = f64::from(node.suffix_len);
             }
-            let node = self.forest.nodes().get(self.node_idx)?;
-            self.buffer = node.block.comparisons(self.forest.kind());
-            self.buf_idx = 0;
-            self.node_idx += 1;
+            // Dirty ER pairs `a` with every later member, Clean-clean ER
+            // each P1 member with every P2 member.
+            self.b = match self.kind {
+                ErKind::Dirty => self.a + 1,
+                ErKind::CleanClean => self.second,
+            };
         }
     }
 }

@@ -8,12 +8,15 @@
 /// Iterator over the suffixes of a token with at least `min_len` characters,
 /// from the **longest** (the token itself) to the shortest allowed.
 ///
-/// Operates on character boundaries, so multi-byte UTF-8 input is safe.
+/// Operates on character boundaries, so multi-byte UTF-8 input is safe. It
+/// walks the token from the front — each step drops one leading character
+/// — so it allocates nothing.
 #[derive(Debug, Clone)]
 pub struct SuffixIter<'a> {
-    token: &'a str,
-    /// Byte offsets of the remaining suffix start positions, shortest first.
-    starts: Vec<usize>,
+    /// The next suffix to yield.
+    rest: &'a str,
+    /// How many suffixes remain, `rest` included.
+    remaining: usize,
 }
 
 impl<'a> SuffixIter<'a> {
@@ -22,19 +25,10 @@ impl<'a> SuffixIter<'a> {
     pub fn new(token: &'a str, min_len: usize) -> Self {
         let min_len = min_len.max(1);
         let n_chars = token.chars().count();
-        let mut starts = Vec::new();
-        if n_chars >= min_len {
-            // Collect byte offsets for suffixes of length min_len..=n_chars.
-            let mut offsets: Vec<usize> = token.char_indices().map(|(i, _)| i).collect();
-            offsets.push(token.len());
-            // Suffix of char-length L starts at char index n_chars - L.
-            for len in min_len..=n_chars {
-                starts.push(offsets[n_chars - len]);
-            }
-            // `starts` is now ordered shortest-suffix-first; we pop from the
-            // back to yield longest first.
+        Self {
+            rest: token,
+            remaining: (n_chars + 1).saturating_sub(min_len),
         }
-        Self { token, starts }
     }
 }
 
@@ -42,11 +36,19 @@ impl<'a> Iterator for SuffixIter<'a> {
     type Item = &'a str;
 
     fn next(&mut self) -> Option<&'a str> {
-        self.starts.pop().map(|s| &self.token[s..])
+        if self.remaining == 0 {
+            return None;
+        }
+        self.remaining -= 1;
+        let suffix = self.rest;
+        let mut chars = suffix.chars();
+        chars.next();
+        self.rest = chars.as_str();
+        Some(suffix)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.starts.len(), Some(self.starts.len()))
+        (self.remaining, Some(self.remaining))
     }
 }
 
